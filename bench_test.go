@@ -21,10 +21,12 @@ import (
 	"repro/internal/dtree"
 	"repro/internal/exec"
 	"repro/internal/experiments"
+	"repro/internal/forest"
 	"repro/internal/pipeline"
 	"repro/internal/predicate"
 	"repro/internal/provenance"
 	"repro/internal/provlog"
+	"repro/internal/smac"
 	"repro/internal/synth"
 	"repro/internal/telemetry"
 )
@@ -262,6 +264,75 @@ func BenchmarkTreeBuild(b *testing.B) {
 		tree := dtree.Build(sp.Space, examples)
 		if tree == nil {
 			b.Fatal("nil tree")
+		}
+	}
+}
+
+// compareBenchPipeline draws a pipeline at the Figure 3 reduced ranges
+// (5 parameters of 4–8 values), the shape of one paper-compare cell.
+func compareBenchPipeline(b *testing.B, r *rand.Rand) *synth.Pipeline {
+	b.Helper()
+	sp, err := synth.Generate(r, synth.Config{MinParams: 5, MaxParams: 5, MinValues: 4, MaxValues: 8}, synth.Disjunction)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sp
+}
+
+// BenchmarkForestTrain measures one fit of SMAC's surrogate: 16 trees over
+// 50 binary-labelled records (fail = 1), the model cost of one smac.Run
+// iteration late in a budget-40 cell. A diagnostic for paper-compare's
+// forest share, not a gated number.
+func BenchmarkForestTrain(b *testing.B) {
+	r := rand.New(rand.NewSource(13))
+	sp := compareBenchPipeline(b, r)
+	xs := make([]pipeline.Instance, 50)
+	ys := make([]float64, len(xs))
+	for i := range xs {
+		xs[i] = sp.Space.RandomInstance(r)
+		if sp.Truth.Satisfied(xs[i]) {
+			ys[i] = 1
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rng.Seed(1)
+		if f := forest.Train(sp.Space, xs, ys, forest.Config{Trees: 16, Rand: rng}); f.Len() != 16 {
+			b.Fatalf("trained %d trees", f.Len())
+		}
+	}
+}
+
+// BenchmarkSMACRun measures the SMAC half of one paper-compare cell:
+// smac.Run spending a budget of 40 new executions from a seeded history.
+// Every iteration starts from the same history and seed.
+func BenchmarkSMACRun(b *testing.B) {
+	ctx := context.Background()
+	r := rand.New(rand.NewSource(17))
+	sp := compareBenchPipeline(b, r)
+	seeded := exec.New(sp.Oracle(), provenance.NewStore(sp.Space))
+	if err := core.SeedHistory(ctx, seeded, r, 500); err != nil {
+		b.Fatal(err)
+	}
+	var seeds []provenance.Entry
+	for _, rec := range seeded.Store().Snapshot().Records() {
+		seeds = append(seeds, provenance.Entry{Instance: rec.Instance, Outcome: rec.Outcome})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		st := provenance.NewStore(sp.Space)
+		if _, err := st.AddBatch(seeds); err != nil {
+			b.Fatal(err)
+		}
+		ex := exec.New(sp.Oracle(), st, exec.WithBudget(40))
+		b.StartTimer()
+		got, err := smac.Run(ctx, ex, 40, smac.Options{Rand: rand.New(rand.NewSource(7))})
+		if err != nil || len(got) != 40 {
+			b.Fatalf("smac.Run executed %d, err %v", len(got), err)
 		}
 	}
 }

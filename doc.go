@@ -31,11 +31,14 @@
 //     CountSatisfying, ...) run as bitset algebra instead of log scans.
 //     Snapshot exposes a zero-copy read-only view for bulk consumers such
 //     as the decision-tree training loop.
-//   - internal/dtree and internal/forest: split search is counting-based —
-//     one columnar pass per parameter accumulates per-value-code label
-//     counts, and every "="/"<=" candidate's gain derives from those
-//     counts and their prefix sums, O(params × examples + params × values)
-//     per node instead of O(params × values × examples).
+//   - internal/dtree and internal/forest share one counting split kernel
+//     (internal/split): one columnar pass per parameter accumulates
+//     per-value-code statistics (label counts for dtree; count, sum and
+//     sum of squares for the forest), the observed codes are ordered by
+//     the space's cached rank tables with integer compares, and every
+//     "="/"<=" candidate's score derives from those statistics and their
+//     prefix sums, O(params × examples + params × values) per node
+//     instead of O(params × values × examples).
 //   - internal/exec: the executor's memoized Evaluate path and the replay
 //     HistoricalOracle key off instance hashes, so a memoization hit
 //     performs zero allocations.

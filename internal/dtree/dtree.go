@@ -10,11 +10,14 @@
 // the "suspects" the Debugging Decision Trees algorithm then verifies by
 // executing new instances.
 //
-// Split search is counting-based: one columnar pass per parameter over the
-// interned value codes accumulates per-code succeed/fail counts, and the
-// information gain of every candidate derives from those counts (prefix
-// sums for ordinal thresholds) — O(params × examples + params × values)
-// per node rather than evaluating each candidate against every example.
+// Split search runs on the counting kernel shared with the forest learner
+// (internal/split): one columnar pass per parameter over the interned value
+// codes accumulates per-code succeed/fail counts, the observed codes are
+// ordered by the space's shared rank table (pipeline.Space.CodeRanks) with
+// integer compares, and the information gain of every candidate derives
+// from those counts (prefix sums for ordinal thresholds) — O(params ×
+// examples + params × values) per node rather than evaluating each
+// candidate against every example.
 package dtree
 
 import (
@@ -25,6 +28,7 @@ import (
 
 	"repro/internal/pipeline"
 	"repro/internal/predicate"
+	"repro/internal/split"
 )
 
 // Example is one labelled training point: an executed instance and its
@@ -80,22 +84,13 @@ func (n *Node) PureSucceed() bool { return n.NSucceed > 0 && n.NFail == 0 }
 // permutation in place, so descending a level moves hi−lo int32s instead
 // of copying []Example slices at every node.
 func Build(s *pipeline.Space, examples []Example) *Node {
-	b := &builder{
-		s:        s,
-		examples: examples,
-		idx:      make([]int32, len(examples)),
-		tmp:      make([]int32, 0, len(examples)),
-	}
-	for i := range b.idx {
-		b.idx[i] = int32(i)
-	}
-	return b.build(0, len(examples))
+	return newBuilder(s, examples).build(0, len(examples))
 }
 
 // builder carries the state shared across every node of one Build call:
-// the examples, the single index permutation the nodes partition, and the
-// per-parameter counting scratch, so growing a tree allocates per node, not
-// per candidate split and not per partition.
+// the examples, the single index permutation the nodes partition, the
+// space's rank tables and the counting kernel's scratch, so growing a tree
+// allocates per node, not per candidate split and not per partition.
 type builder struct {
 	s        *pipeline.Space
 	examples []Example
@@ -103,41 +98,82 @@ type builder struct {
 	// the window idx[lo:hi] and partitions it in place for its children.
 	// tmp buffers the no-side during the stable partition.
 	idx, tmp []int32
-	// countS/countF accumulate succeed/fail counts per value code during
-	// the columnar pass; order lists the observed codes (first-seen, then
-	// sorted by value) of the current parameter.
-	countS, countF []int
-	order          []uint32
+	// ranks holds each parameter's shared rank table (CodeRanks); every
+	// example code is covered, since the examples predate the Build.
+	ranks [][]int32
+	// col accumulates succeed/fail counts per value code of the parameter
+	// being scored.
+	col split.Column[labels]
+}
+
+func newBuilder(s *pipeline.Space, examples []Example) *builder {
+	b := &builder{
+		s:        s,
+		examples: examples,
+		idx:      make([]int32, len(examples)),
+		tmp:      make([]int32, 0, len(examples)),
+		ranks:    make([][]int32, s.Len()),
+	}
+	for i := range b.idx {
+		b.idx[i] = int32(i)
+	}
+	for i := range b.ranks {
+		b.ranks[i] = s.CodeRanks(i)
+	}
+	return b
+}
+
+// labels is the kernel statistic of the debugging tree: weighted succeed
+// and fail votes.
+type labels struct{ s, f int }
+
+func (a labels) Add(b labels) labels { return labels{a.s + b.s, a.f + b.f} }
+
+// vote is the example's label contribution; ok is false for inconclusive
+// examples, which carry no vote.
+func (ex *Example) vote() (l labels, ok bool) {
+	switch ex.Outcome {
+	case pipeline.Succeed:
+		return labels{s: ex.weight()}, true
+	case pipeline.Fail:
+		return labels{f: ex.weight()}, true
+	}
+	return labels{}, false
 }
 
 func (b *builder) build(lo, hi int) *Node {
 	n := &Node{}
 	for _, j := range b.idx[lo:hi] {
-		ex := &b.examples[j]
-		switch ex.Outcome {
-		case pipeline.Succeed:
-			n.NSucceed += ex.weight()
-		case pipeline.Fail:
-			n.NFail += ex.weight()
-		}
+		l, _ := b.examples[j].vote()
+		n.NSucceed += l.s
+		n.NFail += l.f
 	}
 	if n.NSucceed == 0 || n.NFail == 0 || hi-lo < 2 {
 		return n
 	}
-	split, ok := b.bestSplitRange(lo, hi)
+	sp, ok := b.bestSplitRange(lo, hi)
 	if !ok {
 		return n
 	}
 	// Stable in-place partition of the node's index window: yes-side
 	// compacts to the front, no-side stages through the shared scratch.
-	// The parameter index is resolved once; Holds is a single integer or
-	// float comparison per example. tmp is free to reuse in the recursive
-	// calls because its contents are copied back before they run.
-	pi, _ := b.s.Index(split.Param)
+	// The test is the split's code form — a rank comparison for "<=", a
+	// code comparison for "=" — which holds exactly when the triple holds
+	// on the value. tmp is free to reuse in the recursive calls because
+	// its contents are copied back before they run.
+	ranks := b.ranks[sp.param]
+	thr := ranks[sp.code]
 	mid := lo
 	tmp := b.tmp[:0]
 	for _, j := range b.idx[lo:hi] {
-		if split.Holds(b.examples[j].Instance.Value(pi)) {
+		c := b.examples[j].Instance.Code(sp.param)
+		var yes bool
+		if sp.t.Cmp == predicate.Le {
+			yes = ranks[c] <= thr
+		} else {
+			yes = c == sp.code
+		}
+		if yes {
 			b.idx[mid] = j
 			mid++
 		} else {
@@ -145,10 +181,18 @@ func (b *builder) build(lo, hi int) *Node {
 		}
 	}
 	copy(b.idx[mid:hi], tmp)
-	n.Split = split
+	n.Split = sp.t
 	n.Yes = b.build(lo, mid)
 	n.No = b.build(mid, hi)
 	return n
+}
+
+// choice is a chosen split: the triple and its code form, the parameter
+// position and the value code the triple compares against.
+type choice struct {
+	t     predicate.Triple
+	param int
+	code  uint32
 }
 
 // bestSplit is the slice-facing form of bestSplitRange, kept as the entry
@@ -156,11 +200,8 @@ func (b *builder) build(lo, hi int) *Node {
 // list through a throwaway builder. Build's internal nodes use
 // bestSplitRange directly on the shared permutation.
 func bestSplit(s *pipeline.Space, examples []Example) (predicate.Triple, bool) {
-	b := &builder{s: s, examples: examples, idx: make([]int32, len(examples))}
-	for i := range b.idx {
-		b.idx[i] = int32(i)
-	}
-	return b.bestSplitRange(0, len(examples))
+	sp, ok := newBuilder(s, examples).bestSplitRange(0, len(examples))
+	return sp.t, ok
 }
 
 // bestSplitRange evaluates every candidate triple over the examples of the
@@ -172,110 +213,85 @@ func bestSplit(s *pipeline.Space, examples []Example) (predicate.Triple, bool) {
 // undiscovered); ok is false only when no candidate separates the examples
 // at all.
 //
-// The search is counting-based: one columnar pass per parameter
-// accumulates per-value-code succeed/fail counts, and the gain of every
-// "=" candidate falls out of the per-code counts while every "<="
-// candidate falls out of prefix sums over the value-sorted codes —
+// The search runs on the shared counting kernel: one columnar pass per
+// parameter accumulates per-value-code succeed/fail counts, the gain of
+// every "=" candidate falls out of the per-code counts, and every "<="
+// candidate falls out of prefix sums over the rank-ordered codes —
 // O(params × examples + params × values) per node instead of the naive
 // O(params × values × examples). The gain arithmetic is identical to
 // evaluating each candidate against the example list, so the chosen split
 // (including tie-breaks) matches the naive search exactly.
-func (b *builder) bestSplitRange(lo, hi int) (predicate.Triple, bool) {
+func (b *builder) bestSplitRange(lo, hi int) (choice, bool) {
 	s := b.s
 	window := b.idx[lo:hi]
-	totS, totF := 0, 0
+	var tot labels
 	for _, j := range window {
-		ex := &b.examples[j]
-		switch ex.Outcome {
-		case pipeline.Succeed:
-			totS += ex.weight()
-		case pipeline.Fail:
-			totF += ex.weight()
-		}
+		l, _ := b.examples[j].vote()
+		tot = tot.Add(l)
 	}
 	// Weighted example mass; equals len(window) for unit weights, so the
 	// gain arithmetic (and every tie-break) of a deterministic session is
 	// unchanged.
-	total := float64(totS + totF)
-	baseH := entropyCounts(float64(totS), float64(totF))
-	best := predicate.Triple{}
+	total := float64(tot.s + tot.f)
+	baseH := entropyCounts(float64(tot.s), float64(tot.f))
+	var best choice
 	bestGain := -1.0
-	consider := func(t predicate.Triple, yesS, yesF int) {
-		yes, no := yesS+yesF, totS+totF-yesS-yesF
-		if yes == 0 || no == 0 {
-			return
-		}
-		gain := baseH -
-			float64(yes)/total*entropyCounts(float64(yesS), float64(yesF)) -
-			float64(no)/total*entropyCounts(float64(totS-yesS), float64(totF-yesF))
-		if gain > bestGain+1e-12 ||
-			(math.Abs(gain-bestGain) <= 1e-12 && bestGain >= 0 && t.Less(best)) {
-			best, bestGain = t, gain
-		}
-	}
 	for i := 0; i < s.Len(); i++ {
 		p := s.At(i)
-		// Columnar pass: count labels per value code of parameter i.
-		if nc := s.NumCodes(i); len(b.countS) < nc {
-			b.countS = make([]int, nc)
-			b.countF = make([]int, nc)
+		ranks := b.ranks[i]
+		op := predicate.Eq
+		if p.Kind == pipeline.Ordinal {
+			op = predicate.Le
 		}
-		b.order = b.order[:0]
+		// consider scores the candidate "p op value(code)" whose yes side
+		// holds the votes yes. The triple is resolved only when the
+		// candidate wins outright or must break a tie canonically.
+		consider := func(code uint32, yes labels) {
+			nYes, nNo := yes.s+yes.f, tot.s+tot.f-yes.s-yes.f
+			if nYes == 0 || nNo == 0 {
+				return
+			}
+			gain := baseH -
+				float64(nYes)/total*entropyCounts(float64(yes.s), float64(yes.f)) -
+				float64(nNo)/total*entropyCounts(float64(tot.s-yes.s), float64(tot.f-yes.f))
+			win := gain > bestGain+1e-12
+			tie := !win && math.Abs(gain-bestGain) <= 1e-12 && bestGain >= 0
+			if !win && !tie {
+				return
+			}
+			c := choice{t: predicate.T(p.Name, op, s.InternedValue(i, code)), param: i, code: code}
+			if win || c.t.Less(best.t) {
+				best, bestGain = c, gain
+			}
+		}
+		// Columnar pass: count labels per value code of parameter i.
+		b.col.Reset(len(ranks))
 		for _, j := range window {
 			ex := &b.examples[j]
-			var dS, dF int
-			switch ex.Outcome {
-			case pipeline.Succeed:
-				dS = ex.weight()
-			case pipeline.Fail:
-				dF = ex.weight()
-			default:
-				continue // inconclusive: no vote, no threshold of its own
+			if l, ok := ex.vote(); ok { // inconclusive: no vote, no threshold of its own
+				st := b.col.At(ex.Instance.Code(i))
+				*st = st.Add(l)
 			}
-			c := ex.Instance.Code(i)
-			if b.countS[c]+b.countF[c] == 0 {
-				b.order = append(b.order, c)
-			}
-			b.countS[c] += dS
-			b.countF[c] += dF
 		}
-		sort.Slice(b.order, func(a, c int) bool {
-			return s.InternedValue(i, b.order[a]).Less(s.InternedValue(i, b.order[c]))
-		})
-		switch p.Kind {
-		case pipeline.Categorical:
-			for _, c := range b.order {
-				consider(predicate.T(p.Name, predicate.Eq, s.InternedValue(i, c)), b.countS[c], b.countF[c])
-			}
-		case pipeline.Ordinal:
+		b.col.Rank(ranks)
+		if op == predicate.Eq {
+			b.col.Each(consider)
+		} else {
 			// Thresholds between consecutive observed values: testing
 			// "<= v" for each observed v covers them all (the largest is
 			// rejected by consider's empty-no-side guard when nothing
-			// exceeds it). Prefix sums over the sorted codes give the
-			// yes-side counts of each threshold. NaN values — possible
-			// only through out-of-domain instances — never satisfy any
-			// "<=" and are never thresholds themselves, so they stay out
-			// of the prefix sums; their examples land on every no side,
-			// exactly as Holds evaluates them.
-			cumS, cumF := 0, 0
-			for _, c := range b.order {
-				v := s.InternedValue(i, c)
-				if math.IsNaN(v.Num()) {
-					continue
-				}
-				cumS += b.countS[c]
-				cumF += b.countF[c]
-				consider(predicate.T(p.Name, predicate.Le, v), cumS, cumF)
-			}
-		}
-		for _, c := range b.order {
-			b.countS[c], b.countF[c] = 0, 0
+			// exceeds it). NaN values — possible only through
+			// out-of-domain instances — never satisfy any "<=" and are
+			// never thresholds themselves (Prefix leaves them out), so
+			// their examples land on every no side, exactly as Holds
+			// evaluates them.
+			b.col.Prefix(ranks, consider)
 		}
 	}
 	// A separating split always exists unless the examples coincide on
 	// every parameter (bestGain stays -1 in that case).
 	if bestGain < 0 {
-		return predicate.Triple{}, false
+		return choice{}, false
 	}
 	return best, true
 }

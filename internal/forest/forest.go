@@ -3,14 +3,27 @@
 // feature subsets and variance estimates across trees. It is the surrogate
 // model substrate for the SMAC baseline (sequential model-based algorithm
 // configuration uses random-forest surrogates; Hutter et al., LION 2011).
+//
+// Trees grow on the counting split kernel shared with the dtree learner
+// (internal/split). Each tree partitions one index permutation — its
+// bootstrap sample — stably and in place, so every node owns a window of
+// it. A node scores its mtry random features with one columnar pass each,
+// accumulating count, sum and sum of squares of the targets per value code;
+// the observed codes are ordered by the space's shared rank table
+// (pipeline.Space.CodeRanks), and each candidate's children SSE follows
+// from those moments (Σy² − (Σy)²/n per side), with ordinal thresholds
+// read off prefix sums in rank order. That is O(mtry × (examples +
+// values)) per node. The chosen split is stored in code form — a rank
+// threshold for ordinals, a code for categoricals — and tests instances
+// with integer compares in training and in Predict alike.
 package forest
 
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/pipeline"
+	"repro/internal/split"
 )
 
 // Config controls forest training; zero values take defaults.
@@ -44,16 +57,24 @@ func (c Config) withDefaults() Config {
 // Forest is a trained ensemble.
 type Forest struct {
 	space *pipeline.Space
+	// ranks holds each parameter's rank table as of Train; the trees'
+	// ordinal splits are rank thresholds in these tables.
+	ranks [][]int32
 	trees []*node
 }
 
 type node struct {
-	// Split: param index and test. For ordinal parameters the test is
-	// value <= threshold; for categorical, value == category.
+	// Split on parameter param. For an ordinal parameter the test is
+	// value <= threshold, held as ranks[param][c] <= rank for the
+	// instance's code c; threshold keeps the value for codes interned
+	// after Train, which the rank table does not cover. For a categorical
+	// parameter the test is c == code: a category interned after Train
+	// differs from every trained one.
 	param     int
-	threshold float64
-	category  string
 	ordinal   bool
+	rank      int32
+	code      uint32
+	threshold float64
 
 	yes, no *node
 	mean    float64
@@ -66,118 +87,155 @@ func Train(s *pipeline.Space, xs []pipeline.Instance, ys []float64, cfg Config) 
 	if len(xs) == 0 {
 		return f
 	}
-	mtry := int(math.Ceil(math.Sqrt(float64(s.Len()))))
-	sc := &scratch{}
+	g := newGrower(s, xs, ys, cfg)
+	f.ranks = g.ranks
 	for t := 0; t < cfg.Trees; t++ {
-		idx := make([]int, len(xs))
-		for i := range idx {
-			idx[i] = cfg.Rand.Intn(len(xs))
+		for i := range g.idx {
+			g.idx[i] = int32(cfg.Rand.Intn(len(xs)))
 		}
-		f.trees = append(f.trees, grow(s, xs, ys, idx, cfg, mtry, 0, sc))
+		f.trees = append(f.trees, g.grow(0, len(xs), 0))
 	}
 	return f
 }
 
-// scratch is per-Train reusable working memory: candidate tests run over
-// interned value codes (rank tables instead of float/string comparisons),
-// and the per-candidate partitions reuse one pair of index buffers.
-type scratch struct {
-	rank     []int32 // value code -> position in the sorted distinct values
-	yes, no  []int
-	distinct []uint32
+// grower is the per-Train working state: the training data, the rank
+// tables, the current tree's bootstrap sample — an index permutation every
+// node partitions in place — and the counting kernel's scratch.
+type grower struct {
+	s     *pipeline.Space
+	xs    []pipeline.Instance
+	ys    []float64
+	ranks [][]int32
+	cfg   Config
+	mtry  int
+	// idx is the current tree's bootstrap sample; each node owns the
+	// window idx[lo:hi]. tmp stages the no side of a partition.
+	idx, tmp []int32
+	col      split.Column[moments]
 }
 
-func grow(s *pipeline.Space, xs []pipeline.Instance, ys []float64, idx []int, cfg Config, mtry, depth int, sc *scratch) *node {
-	n := &node{mean: mean(ys, idx)}
-	if len(idx) < 2*cfg.MinLeaf || depth >= cfg.MaxDepth || pure(ys, idx) {
+func newGrower(s *pipeline.Space, xs []pipeline.Instance, ys []float64, cfg Config) *grower {
+	g := &grower{
+		s: s, xs: xs, ys: ys, cfg: cfg,
+		mtry:  int(math.Ceil(math.Sqrt(float64(s.Len())))),
+		ranks: make([][]int32, s.Len()),
+		idx:   make([]int32, len(xs)),
+		tmp:   make([]int32, 0, len(xs)),
+	}
+	for i := range g.ranks {
+		g.ranks[i] = s.CodeRanks(i)
+	}
+	return g
+}
+
+// moments is the forest's kernel statistic: the count, sum and sum of
+// squares of the targets.
+type moments struct {
+	n       int
+	sum, sq float64
+}
+
+func (a moments) Add(b moments) moments { return moments{a.n + b.n, a.sum + b.sum, a.sq + b.sq} }
+
+func (a moments) sub(b moments) moments { return moments{a.n - b.n, a.sum - b.sum, a.sq - b.sq} }
+
+// sse is the sum of squared deviations from the mean, Σy² − (Σy)²/n.
+func (a moments) sse() float64 { return a.sq - a.sum*a.sum/float64(a.n) }
+
+// grow builds the subtree over the window idx[lo:hi]. Rand consumption is
+// one Perm per split-eligible node, in preorder (yes subtree first).
+func (g *grower) grow(lo, hi, depth int) *node {
+	w := g.idx[lo:hi]
+	n := &node{mean: g.mean(w)}
+	if len(w) < 2*g.cfg.MinLeaf || depth >= g.cfg.MaxDepth || g.pure(w) {
 		return n
 	}
 	// Random feature subset.
-	feats := cfg.Rand.Perm(s.Len())
-	if len(feats) > mtry {
-		feats = feats[:mtry]
+	feats := g.cfg.Rand.Perm(g.s.Len())
+	if len(feats) > g.mtry {
+		feats = feats[:g.mtry]
 	}
-	bestVar := math.Inf(1)
+	var tot moments
+	for _, j := range w {
+		y := g.ys[j]
+		tot = tot.Add(moments{1, y, y * y})
+	}
+	minLeaf := g.cfg.MinLeaf
+	bestSSE := math.Inf(1)
 	found := false
 	for _, pi := range feats {
-		p := s.At(pi)
-		codes := distinctCodes(s, xs, idx, pi, sc)
-		if len(codes) < 2 {
+		ranks := g.ranks[pi]
+		g.col.Reset(len(ranks))
+		for _, j := range w {
+			y := g.ys[j]
+			m := g.col.At(g.xs[j].Code(pi))
+			m.n++
+			m.sum += y
+			m.sq += y * y
+		}
+		if g.col.Rank(ranks) < 2 {
 			continue
 		}
-		// rank[c] is c's position among the sorted distinct values, so
-		// "value <= vals[k]" becomes the integer test rank <= k and
-		// "value == vals[k]" becomes code equality — the same membership
-		// the value comparisons produced, at integer-compare cost. NaN
-		// values (possible only through out-of-domain instances) rank at
-		// MaxInt32 so they fail every threshold test, matching
-		// Num() <= thr, and are never thresholds themselves.
-		if nc := s.NumCodes(pi); len(sc.rank) < nc {
-			sc.rank = make([]int32, nc)
+		// The first strictly better candidate wins, in feature order and
+		// then rank order, so exact ties keep the earliest candidate.
+		ordinal := g.s.At(pi).Kind == pipeline.Ordinal
+		consider := func(code uint32, yes moments) {
+			no := tot.sub(yes)
+			if yes.n < minLeaf || no.n < minLeaf {
+				return
+			}
+			if v := yes.sse() + no.sse(); v < bestSSE {
+				bestSSE, found = v, true
+				n.param, n.ordinal, n.code, n.rank = pi, ordinal, code, ranks[code]
+			}
 		}
-		if p.Kind == pipeline.Ordinal {
-			finite := codes[:0:0]
-			for _, c := range codes {
-				if v := s.InternedValue(pi, c); math.IsNaN(v.Num()) {
-					sc.rank[c] = math.MaxInt32
-				} else {
-					sc.rank[c] = int32(len(finite))
-					finite = append(finite, c)
-				}
-			}
-			for k := 0; k < len(finite); k++ {
-				rk := int32(k)
-				v := splitVariance(xs, ys, idx, func(in pipeline.Instance) bool {
-					return sc.rank[in.Code(pi)] <= rk
-				}, cfg.MinLeaf, sc)
-				if v < bestVar {
-					bestVar, found = v, true
-					n.param, n.threshold, n.ordinal = pi, s.InternedValue(pi, finite[k]).Num(), true
-				}
-			}
+		if ordinal {
+			g.col.Prefix(ranks, consider)
 		} else {
-			for _, c := range codes {
-				cc := c
-				v := splitVariance(xs, ys, idx, func(in pipeline.Instance) bool {
-					return in.Code(pi) == cc
-				}, cfg.MinLeaf, sc)
-				if v < bestVar {
-					bestVar, found = v, true
-					n.param, n.category, n.ordinal = pi, s.InternedValue(pi, c).Str(), false
-				}
-			}
+			g.col.Each(consider)
 		}
 	}
 	if !found {
 		return n
 	}
-	var yesIdx, noIdx []int
-	for _, i := range idx {
-		if n.test(xs[i]) {
-			yesIdx = append(yesIdx, i)
+	if n.ordinal {
+		n.threshold = g.s.InternedValue(n.param, n.code).Num()
+	}
+	// Stable in-place partition: the yes side compacts to the front, the
+	// no side stages through tmp, so each child window keeps the sample
+	// order (and the mean its summation order). Both sides hold at least
+	// MinLeaf examples, since the split passed consider's guard.
+	mid := lo
+	tmp := g.tmp[:0]
+	for _, j := range w {
+		if n.test(g.ranks, g.xs[j]) {
+			g.idx[mid] = j
+			mid++
 		} else {
-			noIdx = append(noIdx, i)
+			tmp = append(tmp, j)
 		}
 	}
-	if len(yesIdx) == 0 || len(noIdx) == 0 {
-		return n
-	}
-	n.yes = grow(s, xs, ys, yesIdx, cfg, mtry, depth+1, sc)
-	n.no = grow(s, xs, ys, noIdx, cfg, mtry, depth+1, sc)
+	copy(g.idx[mid:hi], tmp)
+	n.yes = g.grow(lo, mid, depth+1)
+	n.no = g.grow(mid, hi, depth+1)
 	return n
 }
 
-func (n *node) test(in pipeline.Instance) bool {
-	v := in.Value(n.param)
-	if n.ordinal {
-		return v.Num() <= n.threshold
+// test reports whether in takes the split's yes branch.
+func (n *node) test(ranks [][]int32, in pipeline.Instance) bool {
+	c := in.Code(n.param)
+	if !n.ordinal {
+		return c == n.code
 	}
-	return v.Kind() == pipeline.Categorical && v.Str() == n.category
+	if r := ranks[n.param]; int(c) < len(r) {
+		return r[c] <= n.rank
+	}
+	return in.Value(n.param).Num() <= n.threshold
 }
 
-func (n *node) predict(in pipeline.Instance) float64 {
+func (n *node) predict(ranks [][]int32, in pipeline.Instance) float64 {
 	for n.yes != nil && n.no != nil {
-		if n.test(in) {
+		if n.test(ranks, in) {
 			n = n.yes
 		} else {
 			n = n.no
@@ -189,15 +247,23 @@ func (n *node) predict(in pipeline.Instance) float64 {
 // Predict returns the ensemble mean and variance for one instance. An
 // empty forest predicts (0, 0), as does an instance from a different
 // space: tree tests index parameters by this space's positions, so a
-// foreign instance could panic or silently misread.
+// foreign instance could panic or silently misread. Forests of up to 64
+// trees predict without allocating.
+//
+//bugdoc:hotpath
 func (f *Forest) Predict(in pipeline.Instance) (mu, variance float64) {
 	if len(f.trees) == 0 || in.Space() != f.space {
 		return 0, 0
 	}
-	preds := make([]float64, len(f.trees))
-	for i, t := range f.trees {
-		preds[i] = t.predict(in)
-		mu += preds[i]
+	var buf [64]float64
+	preds := buf[:0]
+	if len(f.trees) > len(buf) {
+		preds = make([]float64, 0, len(f.trees))
+	}
+	for _, t := range f.trees {
+		p := t.predict(f.ranks, in)
+		preds = append(preds, p)
+		mu += p
 	}
 	mu /= float64(len(f.trees))
 	for _, p := range preds {
@@ -210,72 +276,22 @@ func (f *Forest) Predict(in pipeline.Instance) (mu, variance float64) {
 // Len returns the number of trees.
 func (f *Forest) Len() int { return len(f.trees) }
 
-func mean(ys []float64, idx []int) float64 {
-	if len(idx) == 0 {
+func (g *grower) mean(w []int32) float64 {
+	if len(w) == 0 {
 		return 0
 	}
 	s := 0.0
-	for _, i := range idx {
-		s += ys[i]
+	for _, j := range w {
+		s += g.ys[j]
 	}
-	return s / float64(len(idx))
+	return s / float64(len(w))
 }
 
-func pure(ys []float64, idx []int) bool {
-	for k := 1; k < len(idx); k++ {
-		if ys[idx[k]] != ys[idx[0]] {
+func (g *grower) pure(w []int32) bool {
+	for k := 1; k < len(w); k++ {
+		if g.ys[w[k]] != g.ys[w[0]] {
 			return false
 		}
 	}
 	return true
-}
-
-// distinctCodes returns the distinct value codes of parameter pi among
-// xs[idx], sorted by value order. The dedup runs over dense codes instead
-// of hashing Value structs.
-func distinctCodes(s *pipeline.Space, xs []pipeline.Instance, idx []int, pi int, sc *scratch) []uint32 {
-	nc := s.NumCodes(pi)
-	seen := make([]bool, nc)
-	sc.distinct = sc.distinct[:0]
-	for _, i := range idx {
-		c := xs[i].Code(pi)
-		if !seen[c] {
-			seen[c] = true
-			sc.distinct = append(sc.distinct, c)
-		}
-	}
-	sort.Slice(sc.distinct, func(a, b int) bool {
-		return s.InternedValue(pi, sc.distinct[a]).Less(s.InternedValue(pi, sc.distinct[b]))
-	})
-	return sc.distinct
-}
-
-// splitVariance is the weighted child variance of a candidate split, or
-// +Inf when a side falls under minLeaf. The yes/no partitions reuse the
-// scratch buffers; membership and summation order match the original
-// per-candidate partition exactly.
-func splitVariance(xs []pipeline.Instance, ys []float64, idx []int, test func(pipeline.Instance) bool, minLeaf int, sc *scratch) float64 {
-	yes, no := sc.yes[:0], sc.no[:0]
-	for _, i := range idx {
-		if test(xs[i]) {
-			yes = append(yes, i)
-		} else {
-			no = append(no, i)
-		}
-	}
-	sc.yes, sc.no = yes[:0], no[:0]
-	if len(yes) < minLeaf || len(no) < minLeaf {
-		return math.Inf(1)
-	}
-	return sse(ys, yes) + sse(ys, no)
-}
-
-func sse(ys []float64, idx []int) float64 {
-	m := mean(ys, idx)
-	s := 0.0
-	for _, i := range idx {
-		d := ys[i] - m
-		s += d * d
-	}
-	return s
 }

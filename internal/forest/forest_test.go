@@ -1,6 +1,7 @@
 package forest
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -110,5 +111,72 @@ func TestForestDeterministicPerSeed(t *testing.T) {
 	m2, v2 := f2.Predict(in)
 	if m1 != m2 || v1 != v2 {
 		t.Fatalf("forest not deterministic: (%v,%v) vs (%v,%v)", m1, v1, m2, v2)
+	}
+}
+
+func TestPredictAllocatesNothing(t *testing.T) {
+	s := testSpace(t)
+	xs, ys := dataset(s, func(in pipeline.Instance) float64 {
+		v, _ := in.ByName("x")
+		return v.Num() / 6
+	})
+	f := Train(s, xs, ys, Config{Rand: rand.New(rand.NewSource(5))})
+	in := pipeline.MustInstance(s, pipeline.Ord(4), pipeline.Cat("c"))
+	if allocs := testing.AllocsPerRun(100, func() { f.Predict(in) }); allocs != 0 {
+		t.Fatalf("Predict allocates %v times per call", allocs)
+	}
+}
+
+// valuePredict walks f's trees with the value form of every split — the
+// test the rank form must agree with — and averages the leaves in tree
+// order, as Predict does.
+func valuePredict(f *Forest, in pipeline.Instance) float64 {
+	mu := 0.0
+	for _, n := range f.trees {
+		for n.yes != nil {
+			v := in.Value(n.param)
+			var yes bool
+			if n.ordinal {
+				yes = v.Num() <= n.threshold
+			} else {
+				yes = v == f.space.InternedValue(n.param, n.code)
+			}
+			if yes {
+				n = n.yes
+			} else {
+				n = n.no
+			}
+		}
+		mu += n.mean
+	}
+	return mu / float64(len(f.trees))
+}
+
+// TestPredictCodesInternedAfterTrain predicts instances whose values were
+// interned after Train — out of the rank tables the trees were grown
+// against — and requires the same routing as the value tests.
+func TestPredictCodesInternedAfterTrain(t *testing.T) {
+	s := testSpace(t)
+	xs, ys := dataset(s, func(in pipeline.Instance) float64 {
+		x, _ := in.ByName("x")
+		c, _ := in.ByName("c")
+		if x.Num() <= 3 || c.Str() == "b" {
+			return 1
+		}
+		return 0
+	})
+	f := Train(s, xs, ys, Config{Rand: rand.New(rand.NewSource(8))})
+	trained := s.NumCodes(0)
+	for _, x := range []float64{0.5, 2.5, 3.5, 7, math.NaN(), -1} {
+		for _, c := range []string{"a", "b", "zz"} {
+			in := pipeline.MustInstance(s, pipeline.Ord(x), pipeline.Cat(c))
+			mu, _ := f.Predict(in)
+			if want := valuePredict(f, in); mu != want {
+				t.Fatalf("Predict(x=%v, c=%q) = %v, value tests give %v", x, c, mu, want)
+			}
+		}
+	}
+	if s.NumCodes(0) == trained {
+		t.Fatal("no ordinal value was interned after Train")
 	}
 }

@@ -1,7 +1,10 @@
 package pipeline
 
 import (
+	"cmp"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -58,12 +61,17 @@ type internTable struct {
 	mu    sync.RWMutex
 	codes []map[internKey]uint32 // per parameter: value -> dense code
 	vals  [][]Value              // per parameter: code -> value
+	// ranks caches each parameter's rank table (Space.CodeRanks). It is
+	// built on first request and dropped whenever the parameter interns a
+	// new code, so a cached table always covers every assigned code.
+	ranks [][]int32
 }
 
 func newInternTable(nParams int) *internTable {
 	return &internTable{
 		codes: make([]map[internKey]uint32, nParams),
 		vals:  make([][]Value, nParams),
+		ranks: make([][]int32, nParams),
 	}
 }
 
@@ -88,7 +96,51 @@ func (t *internTable) code(i int, v Value) uint32 {
 	c = uint32(len(t.vals[i]))
 	t.codes[i][k] = c
 	t.vals[i] = append(t.vals[i], v)
+	t.ranks[i] = nil
 	return c
+}
+
+// rankTable returns parameter i's cached rank table, building it on first
+// request after the parameter last interned a value.
+func (t *internTable) rankTable(i int) []int32 {
+	t.mu.RLock()
+	r := t.ranks[i]
+	t.mu.RUnlock()
+	if r != nil {
+		return r
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if r := t.ranks[i]; r != nil {
+		return r
+	}
+	vals := t.vals[i]
+	byValue := make([]uint32, 0, len(vals))
+	r = make([]int32, len(vals))
+	for c, v := range vals {
+		if v.kind == Ordinal && v.num != v.num {
+			r[c] = math.MaxInt32 // the one canonical NaN code
+			continue
+		}
+		byValue = append(byValue, uint32(c))
+	}
+	// Value order (Value.Less). Distinct codes hold distinct values, so
+	// the order is strict and every rank is unique.
+	slices.SortFunc(byValue, func(a, b uint32) int {
+		va, vb := vals[a], vals[b]
+		switch {
+		case va.kind != vb.kind:
+			return cmp.Compare(va.kind, vb.kind)
+		case va.kind == Ordinal:
+			return cmp.Compare(va.num, vb.num)
+		}
+		return strings.Compare(va.str, vb.str)
+	})
+	for rank, c := range byValue {
+		r[c] = int32(rank)
+	}
+	t.ranks[i] = r
+	return r
 }
 
 // size returns the number of codes assigned so far for parameter i.
@@ -130,6 +182,21 @@ func (t *internTable) valuesBatch(codes []uint32, dst []Value, p int) bool {
 // (the provenance index, the decision-tree split counter) can size dense
 // arrays by it. The count only grows.
 func (s *Space) NumCodes(i int) int { return s.intern.size(i) }
+
+// CodeRanks returns parameter i's rank table: entry c is the position of
+// code c's value in value order (numeric for ordinals, lexicographic for
+// categoricals) among the parameter's interned values, so comparing two
+// ranks is comparing the two values. The ordinal NaN ranks math.MaxInt32:
+// it satisfies no rank threshold and never serves as one. The tree
+// learners (dtree, forest) order and test value codes through it with
+// integer compares instead of resolving values under the table lock.
+//
+// The table is cached and shared, so callers must not modify it. It covers
+// every code assigned before the call; once the parameter interns another
+// value (AddToDomain, an out-of-domain instance) the next call builds a
+// fresh table, and a table obtained earlier stays valid for the codes it
+// covers.
+func (s *Space) CodeRanks(i int) []int32 { return s.intern.rankTable(i) }
 
 // InternedValue returns the Value that was assigned code c for parameter i.
 // It panics if c was never assigned.

@@ -60,11 +60,16 @@ func (o Options) withDefaults() Options {
 // surrogate regresses failure (fail = 1, succeed = 0) and candidates are
 // ranked by expected improvement over the incumbent failure score, so the
 // search concentrates instances around failing regions. Budget exhaustion
-// and replay misses end the run gracefully.
+// ends the run gracefully, and so do replay misses: untestable candidates
+// (exec.ErrUnknownInstance) are skipped, and after maxNew*20 consecutive
+// misses the run returns what it executed.
 func Run(ctx context.Context, ex *exec.Executor, maxNew int, opts Options) ([]pipeline.Instance, error) {
 	opts = opts.withDefaults()
 	s := ex.Store().Space()
 	var executed []pipeline.Instance
+	// misses counts consecutive replay misses; a historical oracle that
+	// knows none of the candidates would otherwise keep the loop running.
+	misses, maxMisses := 0, maxNew*20
 
 	evaluate := func(in pipeline.Instance) (pipeline.Outcome, bool, error) {
 		if _, known := ex.Store().Lookup(in); known {
@@ -74,10 +79,12 @@ func Run(ctx context.Context, ex *exec.Executor, maxNew int, opts Options) ([]pi
 		switch {
 		case err == nil:
 			executed = append(executed, in)
+			misses = 0
 			return out, true, nil
 		case errors.Is(err, exec.ErrBudgetExhausted):
 			return pipeline.OutcomeUnknown, false, err
 		case errors.Is(err, exec.ErrUnknownInstance):
+			misses++
 			return pipeline.OutcomeUnknown, false, nil // skip untestable
 		default:
 			return pipeline.OutcomeUnknown, false, err
@@ -102,16 +109,17 @@ func Run(ctx context.Context, ex *exec.Executor, maxNew int, opts Options) ([]pi
 		switch {
 		case r.Err == nil:
 			executed = append(executed, r.Instance)
+			misses = 0
 		case errors.Is(r.Err, exec.ErrBudgetExhausted):
 			return executed, nil
 		case errors.Is(r.Err, exec.ErrUnknownInstance):
-			// Untestable candidate; skip.
+			misses++ // untestable candidate; skip
 		default:
 			return executed, r.Err
 		}
 	}
 
-	for len(executed) < maxNew {
+	for len(executed) < maxNew && misses < maxMisses {
 		if err := ctx.Err(); err != nil {
 			return executed, err
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/exec"
 	"repro/internal/pipeline"
@@ -90,6 +91,61 @@ func TestRunCancelled(t *testing.T) {
 	cancel()
 	if _, err := Run(ctx, ex, 10, Options{}); err == nil {
 		t.Fatal("cancelled context must propagate")
+	}
+}
+
+// runWithin runs Run with no context deadline and fails the test if it has
+// not returned within a minute.
+func runWithin(t *testing.T, ex *exec.Executor, maxNew int) []pipeline.Instance {
+	t.Helper()
+	type result struct {
+		got []pipeline.Instance
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		got, err := Run(context.Background(), ex, maxNew, Options{Rand: rand.New(rand.NewSource(11))})
+		done <- result{got, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatalf("replay misses must end the run gracefully: %v", r.err)
+		}
+		return r.got
+	case <-time.After(time.Minute):
+		t.Fatal("Run did not return on a replay-only oracle")
+		return nil
+	}
+}
+
+func TestRunEndsOnReplayMisses(t *testing.T) {
+	s := testSpace(t)
+	empty, err := exec.NewHistoricalOracle(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runWithin(t, exec.New(empty, provenance.NewStore(s)), 30); len(got) != 0 {
+		t.Fatalf("executed %d instances over an empty history", len(got))
+	}
+
+	// A sparse history: Run executes only recorded instances and still
+	// returns once the misses pile up.
+	r := rand.New(rand.NewSource(4))
+	var ins []pipeline.Instance
+	var outs []pipeline.Outcome
+	for i := 0; i < 6; i++ {
+		ins = append(ins, s.RandomInstance(r))
+		outs = append(outs, pipeline.Fail)
+	}
+	hist, err := exec.NewHistoricalOracle(ins, outs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range runWithin(t, exec.New(hist, provenance.NewStore(s)), 30) {
+		if _, ok := hist.Run(context.Background(), in); ok != nil {
+			t.Fatalf("executed %v, which the history does not hold", in)
+		}
 	}
 }
 
