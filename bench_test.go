@@ -337,6 +337,67 @@ func BenchmarkSMACRun(b *testing.B) {
 	}
 }
 
+// Sinks that keep the micro-benchmarks' results alive.
+var (
+	benchInstance pipeline.Instance
+	benchMatches  int
+)
+
+// BenchmarkRandomInstance measures SMAC's candidate draw: one uniform
+// instance of a paper-compare space, built from domain indices without
+// interning. A diagnostic for paper-compare's pipeline share, not a gated
+// number.
+func BenchmarkRandomInstance(b *testing.B) {
+	r := rand.New(rand.NewSource(17))
+	sp := compareBenchPipeline(b, r)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchInstance = sp.Space.RandomInstance(r)
+	}
+}
+
+// BenchmarkConjunctionMatch measures the explanation baselines' inner
+// test, one two-triple pattern against 200 provenance rows: compiled once
+// and matched by code (Match, compile included), and by name and value
+// (Satisfied). A diagnostic for paper-compare's predicate share, not a
+// gated number.
+func BenchmarkConjunctionMatch(b *testing.B) {
+	r := rand.New(rand.NewSource(17))
+	sp := compareBenchPipeline(b, r)
+	rows := make([]pipeline.Instance, 200)
+	for i := range rows {
+		rows[i] = sp.Space.RandomInstance(r)
+	}
+	c := predicate.And(
+		predicate.T(sp.Space.At(0).Name, predicate.Eq, rows[0].Value(0)),
+		predicate.T(sp.Space.At(2).Name, predicate.Neq, rows[1].Value(2)))
+	b.Run("Match", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m, n := c.Compile(sp.Space), 0
+			for _, in := range rows {
+				if m.Match(in) {
+					n++
+				}
+			}
+			benchMatches = n
+		}
+	})
+	b.Run("Satisfied", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			n := 0
+			for _, in := range rows {
+				if c.Satisfied(in) {
+					n++
+				}
+			}
+			benchMatches = n
+		}
+	})
+}
+
 // BenchmarkRegionImplies measures the exact implication check that the
 // metrics and the simplifier lean on.
 func BenchmarkRegionImplies(b *testing.B) {

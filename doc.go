@@ -24,6 +24,16 @@
 //     their code vector and a precomputed 64-bit hash, making Equal,
 //     DisjointFrom, DiffCount, and memoization probes allocation-free
 //     integer work; the string Key() survives only for codecs and display.
+//     A per-parameter domain-code table (domain index -> code, rebuilt
+//     when AddToDomain re-sorts a domain) lets the samplers
+//     (RandomInstance, RandomDisjoint, DDT's suspect tests, SMAC's
+//     one-exchange mutation) build instances from domain indices without
+//     touching the intern map.
+//   - internal/predicate: Conjunction.Compile resolves parameter names
+//     once and tabulates each triple over the codes interned so far, so
+//     the explanation baselines (Data X-Ray, Explanation Tables) test a
+//     pattern against every provenance row by code, with the same answer
+//     as Conjunction.Satisfied.
 //   - internal/provenance: the append-only log is indexed on Add with a
 //     hash map over code vectors (Lookup), per-outcome sequence lists and
 //     bitsets, and per-(parameter, value-code) posting bitsets, so history

@@ -274,10 +274,10 @@ func minimizeConfirmed(ctx context.Context, ex *exec.Executor, suspect predicate
 // at multiple satisfying values, not just one prototype.
 func sampleTests(s *pipeline.Space, region predicate.Region, opts DDTOptions) []pipeline.Instance {
 	r := opts.Rand
-	allowed := make([][]pipeline.Value, s.Len())
+	allowed := make([][]int, s.Len()) // allowed domain indices per parameter
 	size := uint64(1)
 	for i := 0; i < s.Len(); i++ {
-		allowed[i] = region.AllowedValues(s.At(i).Name)
+		allowed[i] = region.AllowedIndices(i)
 		if len(allowed[i]) == 0 {
 			return nil
 		}
@@ -286,17 +286,15 @@ func sampleTests(s *pipeline.Space, region predicate.Region, opts DDTOptions) []
 
 	max := opts.MaxSuspectTests
 	var tests []pipeline.Instance
+	pick := make([]int, s.Len()) // chosen domain index per parameter
 	if size <= uint64(max) {
 		// Exhaustive: the whole filtered Cartesian product.
 		idx := make([]int, s.Len())
-		vals := make([]pipeline.Value, s.Len())
 		for {
 			for i := range idx {
-				vals[i] = allowed[i][idx[i]]
+				pick[i] = allowed[i][idx[i]]
 			}
-			if in, err := pipeline.NewInstance(s, vals); err == nil {
-				tests = append(tests, in)
-			}
+			tests = append(tests, s.DomainInstance(pick))
 			k := len(idx) - 1
 			for ; k >= 0; k-- {
 				idx[k]++
@@ -312,15 +310,10 @@ func sampleTests(s *pipeline.Space, region predicate.Region, opts DDTOptions) []
 	}
 	seen := pipeline.NewInstanceMap[struct{}](max)
 	for attempts := 0; len(tests) < max && attempts < max*10; attempts++ {
-		vals := make([]pipeline.Value, s.Len())
-		for i := range vals {
-			vals[i] = allowed[i][r.Intn(len(allowed[i]))]
+		for i := range pick {
+			pick[i] = allowed[i][r.Intn(len(allowed[i]))]
 		}
-		in, err := pipeline.NewInstance(s, vals)
-		if err != nil {
-			continue
-		}
-		if seen.Put(in, struct{}{}) {
+		if in := s.DomainInstance(pick); seen.Put(in, struct{}{}) {
 			tests = append(tests, in)
 		}
 	}

@@ -142,13 +142,14 @@ func buildFeatures(s *pipeline.Space, failing, succeeding []pipeline.Instance, o
 		}
 		c = c.Canonical()
 		f := feature{conj: c}
+		m := c.Compile(s)
 		for fi, in := range failing {
-			if c.Satisfied(in) {
+			if m.Match(in) {
 				f.failSet = append(f.failSet, fi)
 			}
 		}
 		for _, in := range succeeding {
-			if c.Satisfied(in) {
+			if m.Match(in) {
 				f.okCount++
 			}
 		}

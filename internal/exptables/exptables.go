@@ -13,6 +13,7 @@
 package exptables
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"sort"
@@ -91,9 +92,10 @@ func Explain(s *pipeline.Space, st *provenance.Store, opts Options) []Pattern {
 		cands := candidates(s, rows, failIdx, opts)
 		best, bestGain := Pattern{}, 0.0
 		for _, c := range cands {
-			g := gain(c, rows, outcome, est)
+			m := c.Compile(s)
+			g := gain(m, rows, outcome, est)
 			if g > bestGain {
-				best, bestGain = summarize(c, rows, outcome), g
+				best, bestGain = summarize(c, m, rows, outcome), g
 			}
 		}
 		if bestGain < opts.MinGain || len(best.Conj) == 0 {
@@ -102,8 +104,9 @@ func Explain(s *pipeline.Space, st *provenance.Store, opts Options) []Pattern {
 		table = append(table, best)
 		// Update the estimate: rows matched by the new pattern take its
 		// rate (most-specific-pattern approximation of the max-ent model).
+		m := best.Conj.Compile(s)
 		for i, in := range rows {
-			if best.Conj.Satisfied(in) {
+			if m.Match(in) {
 				est[i] = best.FailRate
 			}
 		}
@@ -137,53 +140,66 @@ func candidates(s *pipeline.Space, rows []pipeline.Instance, failIdx []int, opts
 		return nil
 	}
 	r := opts.Rand
+	// A pattern asserts row in's values on a set of parameters. Its key is
+	// the (parameter index, value code) pairs in parameter order, so equal
+	// patterns are recognised without building or rendering them; the
+	// first-seen one is kept.
 	seen := make(map[string]bool)
 	var out []predicate.Conjunction
-	add := func(c predicate.Conjunction) {
-		c = c.Canonical()
-		if len(c) == 0 {
+	var key []byte
+	add := func(in pipeline.Instance, params []int) {
+		if len(params) == 0 {
 			return
 		}
-		k := c.String()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, c)
+		key = key[:0]
+		for _, i := range params {
+			key = binary.LittleEndian.AppendUint32(key, uint32(i))
+			key = binary.LittleEndian.AppendUint32(key, in.Code(i))
 		}
+		if seen[string(key)] {
+			return
+		}
+		seen[string(key)] = true
+		c := make(predicate.Conjunction, len(params))
+		for k, i := range params {
+			c[k] = predicate.T(s.At(i).Name, predicate.Eq, in.Value(i))
+		}
+		out = append(out, c.Canonical())
 	}
 	sample := func() pipeline.Instance {
 		return rows[failIdx[r.Intn(len(failIdx))]]
 	}
+	params := make([]int, 0, s.Len())
 	for i := 0; i < opts.SampleSize; i++ {
 		a, b := sample(), sample()
-		add(lca(s, a, b))
-		add(lca(s, a, sample())) // a second LCA partner widens the lattice
+		add(a, lca(s, a, b, params[:0]))
+		add(a, lca(s, a, sample(), params[:0])) // a second LCA partner widens the lattice
 		// Singles from a.
 		for pi := 0; pi < s.Len(); pi++ {
-			add(predicate.Conjunction{predicate.T(s.At(pi).Name, predicate.Eq, a.Value(pi))})
+			add(a, append(params[:0], pi))
 		}
 	}
 	return out
 }
 
-// lca is the most specific pattern matching both instances: equalities on
-// the parameters where they agree.
-func lca(s *pipeline.Space, a, b pipeline.Instance) predicate.Conjunction {
-	var c predicate.Conjunction
+// lca appends to dst the parameters of the most specific pattern matching
+// both instances: equalities on the parameters where they agree.
+func lca(s *pipeline.Space, a, b pipeline.Instance, dst []int) []int {
 	for i := 0; i < s.Len(); i++ {
 		if a.Value(i) == b.Value(i) {
-			c = append(c, predicate.T(s.At(i).Name, predicate.Eq, a.Value(i)))
+			dst = append(dst, i)
 		}
 	}
-	return c
+	return dst
 }
 
 // gain scores a candidate pattern: the reduction in total KL divergence
 // between the observed outcomes and the estimate if the pattern's rate
 // replaced the estimate on its matching rows.
-func gain(c predicate.Conjunction, rows []pipeline.Instance, outcome, est []float64) float64 {
+func gain(m predicate.Matcher, rows []pipeline.Instance, outcome, est []float64) float64 {
 	var match []int
 	for i, in := range rows {
-		if c.Satisfied(in) {
+		if m.Match(in) {
 			match = append(match, i)
 		}
 	}
@@ -202,10 +218,11 @@ func gain(c predicate.Conjunction, rows []pipeline.Instance, outcome, est []floa
 	return g
 }
 
-func summarize(c predicate.Conjunction, rows []pipeline.Instance, outcome []float64) Pattern {
+// summarize computes c's table row; m is c compiled.
+func summarize(c predicate.Conjunction, m predicate.Matcher, rows []pipeline.Instance, outcome []float64) Pattern {
 	p := Pattern{Conj: c.Canonical()}
 	for i, in := range rows {
-		if c.Satisfied(in) {
+		if m.Match(in) {
 			p.Support++
 			p.FailRate += outcome[i]
 		}

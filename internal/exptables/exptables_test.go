@@ -1,6 +1,7 @@
 package exptables
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -133,5 +134,85 @@ func TestKLBernoulliProperties(t *testing.T) {
 	// Clamping keeps extreme values finite.
 	if k := klBernoulli(1, 0); k <= 0 || k != k {
 		t.Fatalf("clamped KL = %v", k)
+	}
+}
+
+// referenceCandidates is candidate generation as it was before patterns
+// were keyed by value codes: every pattern is built, canonicalised and
+// deduplicated by its rendering.
+func referenceCandidates(s *pipeline.Space, rows []pipeline.Instance, failIdx []int, opts Options) []predicate.Conjunction {
+	if len(failIdx) == 0 {
+		return nil
+	}
+	r := opts.Rand
+	seen := make(map[string]bool)
+	var out []predicate.Conjunction
+	add := func(c predicate.Conjunction) {
+		c = c.Canonical()
+		if len(c) == 0 {
+			return
+		}
+		if k := c.String(); !seen[k] {
+			seen[k] = true
+			out = append(out, c)
+		}
+	}
+	lca := func(a, b pipeline.Instance) predicate.Conjunction {
+		var c predicate.Conjunction
+		for i := 0; i < s.Len(); i++ {
+			if a.Value(i) == b.Value(i) {
+				c = append(c, predicate.T(s.At(i).Name, predicate.Eq, a.Value(i)))
+			}
+		}
+		return c
+	}
+	sample := func() pipeline.Instance {
+		return rows[failIdx[r.Intn(len(failIdx))]]
+	}
+	for i := 0; i < opts.SampleSize; i++ {
+		a, b := sample(), sample()
+		add(lca(a, b))
+		add(lca(a, sample()))
+		for pi := 0; pi < s.Len(); pi++ {
+			add(predicate.Conjunction{predicate.T(s.At(pi).Name, predicate.Eq, a.Value(pi))})
+		}
+	}
+	return out
+}
+
+// TestCandidatesMatchReference checks that code-keyed deduplication keeps
+// the reference's patterns in the reference's first-seen order, over rows
+// with out-of-domain values and NaN (which never agrees with itself).
+func TestCandidatesMatchReference(t *testing.T) {
+	s := pipeline.MustSpace(
+		pipeline.Parameter{Name: "z", Kind: pipeline.Ordinal, Domain: ordDomain(1, 2, 3)},
+		pipeline.Parameter{Name: "c", Kind: pipeline.Categorical,
+			Domain: []pipeline.Value{pipeline.Cat("x"), pipeline.Cat("y")}},
+		pipeline.Parameter{Name: "a", Kind: pipeline.Ordinal, Domain: ordDomain(5, 6)},
+	)
+	r := rand.New(rand.NewSource(4))
+	ords := []pipeline.Value{pipeline.Ord(1), pipeline.Ord(2), pipeline.Ord(7), pipeline.Ord(math.NaN())}
+	var rows []pipeline.Instance
+	var failIdx []int
+	for i := 0; i < 40; i++ {
+		rows = append(rows, pipeline.MustInstance(s, ords[r.Intn(len(ords))],
+			[]pipeline.Value{pipeline.Cat("x"), pipeline.Cat("y"), pipeline.Cat("w")}[r.Intn(3)],
+			ords[r.Intn(len(ords))]))
+		if r.Intn(2) == 0 {
+			failIdx = append(failIdx, i)
+		}
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		opts := Options{Rand: rand.New(rand.NewSource(seed))}.withDefaults()
+		ref := Options{Rand: rand.New(rand.NewSource(seed))}.withDefaults()
+		got, want := candidates(s, rows, failIdx, opts), referenceCandidates(s, rows, failIdx, ref)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d candidates, reference %d", seed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].String() != want[i].String() { // NaN triples are never ==
+				t.Fatalf("seed %d: candidate %d is %v, reference %v", seed, i, got[i], want[i])
+			}
+		}
 	}
 }

@@ -136,6 +136,19 @@ func (in Instance) With(i int, v Value) Instance {
 		panic(fmt.Sprintf("pipeline: parameter %q (%v) cannot hold %v value",
 			in.space.At(i).Name, in.space.At(i).Kind, v.Kind()))
 	}
+	return in.with(i, v, in.space.codeOf(i, v))
+}
+
+// WithDomain returns a copy of the instance with parameter i set to its
+// j-th domain value. Like Space.DomainInstance it takes the code from the
+// domain-code table instead of interning. It panics if j is out of range.
+func (in Instance) WithDomain(i, j int) Instance {
+	return in.with(i, in.space.params[i].Domain[j], in.space.DomainCode(i, j))
+}
+
+// with returns a copy of the instance with parameter i set to v, whose
+// interned code is c.
+func (in Instance) with(i int, v Value, c uint32) Instance {
 	vals := make([]Value, len(in.codes))
 	if in.vals == nil {
 		for j := range vals {
@@ -147,7 +160,7 @@ func (in Instance) With(i int, v Value) Instance {
 	vals[i] = v
 	codes := make([]uint32, len(in.codes))
 	copy(codes, in.codes)
-	codes[i] = in.space.codeOf(i, v)
+	codes[i] = c
 	return Instance{space: in.space, vals: vals, codes: codes, hash: hashCodes(codes)}
 }
 

@@ -252,3 +252,128 @@ func TestKeyRoundTripDistinctKinds(t *testing.T) {
 		t.Fatal("single-parameter key must not contain separators")
 	}
 }
+
+// sameInstance fails unless got and want agree on codes, hash, Equal and
+// values.
+func sameInstance(t *testing.T, what string, got, want Instance) {
+	t.Helper()
+	if !got.Equal(want) || got.Hash() != want.Hash() || got.Key() != want.Key() {
+		t.Fatalf("%s: %v (hash %x), want %v (hash %x)", what, got, got.Hash(), want, want.Hash())
+	}
+	for i := 0; i < want.Len(); i++ {
+		if got.Code(i) != want.Code(i) || got.Value(i) != want.Value(i) {
+			t.Fatalf("%s: parameter %d is %v (code %d), want %v (code %d)",
+				what, i, got.Value(i), got.Code(i), want.Value(i), want.Code(i))
+		}
+	}
+}
+
+// TestDomainInstanceMatchesNewInstance checks that instances built from
+// domain indices equal the NewInstance of the same values, including after
+// AddToDomain re-sorts a domain around a value interned earlier (so the
+// new value's code is neither its domain index nor the next free code).
+func TestDomainInstanceMatchesNewInstance(t *testing.T) {
+	s := testSpace(t)
+	check := func(stage string) {
+		t.Helper()
+		s.Enumerate(func(in Instance) bool { // built by DomainInstance
+			vals := make([]Value, s.Len())
+			for i := range vals {
+				vals[i] = in.Value(i)
+			}
+			want := MustInstance(s, vals...)
+			sameInstance(t, stage+": DomainInstance", in, want)
+			for i := range vals {
+				for j, v := range s.At(i).Domain {
+					sameInstance(t, stage+": WithDomain", want.WithDomain(i, j), want.With(i, v))
+				}
+			}
+			return true
+		})
+	}
+	check("fresh space")
+	// 2.5 and "b2" get codes 4 and 3 before joining their domains, where
+	// they sort to indices 2 and 2.
+	MustInstance(s, Ord(2.5), Cat("b2"), Ord(10))
+	if err := s.AddToDomain("p1", Ord(2.5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddToDomain("p2", Cat("b2")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddToDomain("p3", Ord(5)); err != nil { // interned by the add itself
+		t.Fatal(err)
+	}
+	if got := s.DomainCode(0, 2); got != 4 {
+		t.Fatalf("p1's domain index 2 (2.5) has code %d, want 4", got)
+	}
+	check("after AddToDomain")
+}
+
+// referenceRandomInstance and referenceRandomDisjoint are the samplers as
+// they were before instances were built from domain indices: value slices
+// interned through NewInstance.
+func referenceRandomInstance(s *Space, r *rand.Rand) Instance {
+	vals := make([]Value, s.Len())
+	for i := range vals {
+		dom := s.At(i).Domain
+		vals[i] = dom[r.Intn(len(dom))]
+	}
+	return MustInstance(s, vals...)
+}
+
+func referenceRandomDisjoint(s *Space, r *rand.Rand, ref Instance) (Instance, bool) {
+	vals := make([]Value, s.Len())
+	for i := range vals {
+		dom := s.At(i).Domain
+		refIdx := s.DomainIndex(i, ref.Value(i))
+		n := len(dom)
+		if refIdx >= 0 {
+			n--
+		}
+		if n == 0 {
+			return Instance{}, false
+		}
+		j := r.Intn(n)
+		if refIdx >= 0 && j >= refIdx {
+			j++
+		}
+		vals[i] = dom[j]
+	}
+	return MustInstance(s, vals...), true
+}
+
+// TestSamplersMatchReference checks that RandomInstance and RandomDisjoint
+// draw the same instances from the same random stream as the reference
+// samplers, on a space whose domain codes are not domain indices and with
+// a tight space where RandomDisjoint gives up part-way.
+func TestSamplersMatchReference(t *testing.T) {
+	s := testSpace(t)
+	MustInstance(s, Ord(0.5), Cat("a"), Ord(10))
+	if err := s.AddToDomain("p1", Ord(0.5)); err != nil {
+		t.Fatal(err)
+	}
+	tight := MustSpace(
+		Parameter{Name: "x", Kind: Ordinal, Domain: ordDomain(1, 2)},
+		Parameter{Name: "y", Kind: Ordinal, Domain: ordDomain(1)},
+	)
+	got, want := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+	for k := 0; k < 200; k++ {
+		sameInstance(t, "RandomInstance", s.RandomInstance(got), referenceRandomInstance(s, want))
+		ref := referenceRandomInstance(s, rand.New(rand.NewSource(int64(k))))
+		g, gok := s.RandomDisjoint(got, ref)
+		w, wok := referenceRandomDisjoint(s, want, ref)
+		if gok != wok {
+			t.Fatalf("RandomDisjoint ok = %v, reference %v", gok, wok)
+		}
+		sameInstance(t, "RandomDisjoint", g, w)
+		tref := MustInstance(tight, Ord(1), Ord(1))
+		if _, ok := tight.RandomDisjoint(got, tref); ok {
+			t.Fatal("tight space has no disjoint instance")
+		}
+		referenceRandomDisjoint(tight, want, tref)
+	}
+	if got.Int63() != want.Int63() {
+		t.Fatal("the samplers consumed a different number of draws")
+	}
+}

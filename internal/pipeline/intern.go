@@ -157,6 +157,16 @@ func (t *internTable) value(i int, c uint32) Value {
 	return t.vals[i][c]
 }
 
+// values returns parameter i's code -> value table as assigned so far.
+// Interning only appends, so the entries it holds never change; the slice
+// is capped so a caller's append cannot reach the table's spare capacity.
+func (t *internTable) values(i int) []Value {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	v := t.vals[i]
+	return v[:len(v):len(v)]
+}
+
 // valuesBatch resolves rows of p codes (one per parameter) into dst under a
 // single read lock — the log-replay fast path, which would otherwise pay
 // two lock round-trips per parameter per record. It reports false when any
@@ -201,6 +211,13 @@ func (s *Space) CodeRanks(i int) []int32 { return s.intern.rankTable(i) }
 // InternedValue returns the Value that was assigned code c for parameter i.
 // It panics if c was never assigned.
 func (s *Space) InternedValue(i int, c uint32) Value { return s.intern.value(i, c) }
+
+// InternedValues returns the values interned so far for parameter i,
+// indexed by code: entry c is InternedValue(i, c), and the length is
+// NumCodes(i) at the time of the call. It takes the table lock once, where
+// resolving code by code takes it per code. The slice is shared, so callers
+// must not modify it; later interning never changes the entries it holds.
+func (s *Space) InternedValues(i int) []Value { return s.intern.values(i) }
 
 // codeOf interns v for parameter i and returns its dense code.
 func (s *Space) codeOf(i int, v Value) uint32 { return s.intern.code(i, v) }

@@ -27,6 +27,11 @@ type Space struct {
 	params []Parameter
 	index  map[string]int
 	intern *internTable
+	// domCodes maps each parameter's domain index to its interned code, so
+	// instances built from domain indices (DomainInstance) skip the intern
+	// map. Index and code agree only until AddToDomain re-sorts a domain,
+	// which is why the table is rebuilt there.
+	domCodes [][]uint32
 }
 
 // NewSpace validates and assembles a parameter space. It requires at least
@@ -77,10 +82,9 @@ func NewSpace(params ...Parameter) (*Space, error) {
 	// Pre-intern the domains so domain values get the low codes in sorted
 	// domain order, deterministically across runs.
 	s.intern = newInternTable(len(s.params))
-	for i, p := range s.params {
-		for _, v := range p.Domain {
-			s.intern.code(i, v)
-		}
+	s.domCodes = make([][]uint32, len(s.params))
+	for i := range s.params {
+		s.indexDomainCodes(i)
 	}
 	return s, nil
 }
@@ -156,9 +160,25 @@ func (s *Space) AddToDomain(name string, v Value) error {
 	}
 	p.Domain = append(p.Domain, v)
 	sort.Slice(p.Domain, func(a, b int) bool { return p.Domain[a].Less(p.Domain[b]) })
-	s.intern.code(i, v)
+	s.indexDomainCodes(i)
 	return nil
 }
+
+// indexDomainCodes interns parameter i's domain in domain order and
+// rebuilds its domain-code table. Values interned before keep their codes,
+// so after AddToDomain the table is no longer the identity.
+func (s *Space) indexDomainCodes(i int) {
+	dom := s.params[i].Domain
+	codes := make([]uint32, len(dom))
+	for j, v := range dom {
+		codes[j] = s.intern.code(i, v)
+	}
+	s.domCodes[i] = codes
+}
+
+// DomainCode returns the interned code of parameter i's j-th domain value
+// without an intern-table lookup. It panics if j is out of range.
+func (s *Space) DomainCode(i, j int) uint32 { return s.domCodes[i][j] }
 
 // NumInstances returns the size of the full Cartesian space of instances
 // and whether that size fit in a uint64 (exact=false means overflow).

@@ -12,7 +12,9 @@
 // precomputed hash (see intern.go), so instance identity operations are
 // allocation-free integer comparisons and columnar consumers (the
 // provenance index, decision-tree split counting) can use dense arrays
-// keyed by code.
+// keyed by code. Each Space also maps every domain index to its code, so
+// instances drawn from the domains (DomainInstance, WithDomain and the
+// random samplers) are built without an intern-table lookup.
 package pipeline
 
 import (

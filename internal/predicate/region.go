@@ -192,37 +192,28 @@ func (r Region) Equal(o Region) bool {
 // AnyInstance returns an arbitrary instance from the region (the first in
 // domain order), or ok=false when the region is empty.
 func (r Region) AnyInstance() (pipeline.Instance, bool) {
-	vals := make([]pipeline.Value, r.space.Len())
+	idx := make([]int, len(r.allowed))
 	for i, row := range r.allowed {
-		found := false
-		for j, ok := range row {
-			if ok {
-				vals[i] = r.space.At(i).Domain[j]
-				found = true
-				break
-			}
+		j := 0
+		for j < len(row) && !row[j] {
+			j++
 		}
-		if !found {
+		if j == len(row) {
 			return pipeline.Instance{}, false
 		}
+		idx[i] = j
 	}
-	in, err := pipeline.NewInstance(r.space, vals)
-	if err != nil {
-		return pipeline.Instance{}, false
-	}
-	return in, true
+	return r.space.DomainInstance(idx), true
 }
 
-// AllowedValues returns the allowed domain values for the named parameter.
-func (r Region) AllowedValues(param string) []pipeline.Value {
-	i, ok := r.space.Index(param)
-	if !ok {
-		return nil
-	}
-	var out []pipeline.Value
+// AllowedIndices returns the domain indices of parameter i that the region
+// allows, in domain order. Space.DomainInstance turns a choice of one per
+// parameter into an instance without interning.
+func (r Region) AllowedIndices(i int) []int {
+	var out []int
 	for j, allow := range r.allowed[i] {
 		if allow {
-			out = append(out, r.space.At(i).Domain[j])
+			out = append(out, j)
 		}
 	}
 	return out

@@ -38,9 +38,10 @@ func TestRegionOfConjunction(t *testing.T) {
 	if n != 8 {
 		t.Fatalf("count = %d, want 8", n)
 	}
-	vals := r.AllowedValues("p1")
-	if len(vals) != 2 || vals[0] != pipeline.Ord(1) || vals[1] != pipeline.Ord(2) {
-		t.Fatalf("allowed p1 = %v", vals)
+	idx := r.AllowedIndices(0)
+	dom := s.At(0).Domain
+	if len(idx) != 2 || dom[idx[0]] != pipeline.Ord(1) || dom[idx[1]] != pipeline.Ord(2) {
+		t.Fatalf("allowed p1 indices = %v over domain %v", idx, dom)
 	}
 }
 

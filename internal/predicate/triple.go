@@ -9,6 +9,11 @@
 // satisfiability, implication, equivalence, definitiveness and minimality
 // decidable, which the debugging algorithms and the evaluation metrics both
 // rely on.
+//
+// For repeated satisfaction tests, Conjunction.Compile yields a Matcher
+// that resolves parameter names once and tests instances of its space by
+// interned value code, agreeing with Conjunction.Satisfied on every
+// instance.
 package predicate
 
 import (

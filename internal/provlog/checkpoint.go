@@ -1,6 +1,7 @@
 package provlog
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -219,27 +221,30 @@ func encodeTierRange(space *pipeline.Space, fingerprint uint64, sn provenance.Sn
 	// last-write-wins. A duplicate instance cannot come out of a
 	// provenance store, and dropping one would leave a sequence gap the
 	// loader rejects, so a survivor set smaller than the range refuses to
-	// encode.
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(firstSeq + i)
+	// encode. The sort runs over a flat (hash, seq) column: comparing
+	// through Snapshot.At would copy two whole records per comparison.
+	type hashSeq struct {
+		hash uint64
+		seq  int32
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ha, hb := sn.At(int(order[a])).Instance.Hash(), sn.At(int(order[b])).Instance.Hash()
-		if ha != hb {
-			return ha < hb
+	order := make([]hashSeq, n)
+	for i := range order {
+		seq := firstSeq + i
+		order[i] = hashSeq{sn.At(seq).Instance.Hash(), int32(seq)}
+	}
+	slices.SortFunc(order, func(a, b hashSeq) int {
+		if c := cmp.Compare(a.hash, b.hash); c != 0 {
+			return c
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a.seq, b.seq)
 	})
 	kept := order[:0]
-	for i := 0; i < len(order); i++ {
-		if i+1 < len(order) {
-			this, next := sn.At(int(order[i])).Instance, sn.At(int(order[i+1])).Instance
-			if this.Hash() == next.Hash() && this.Equal(next) {
-				continue // last-write-wins: the higher seq follows in the order
-			}
+	for i, o := range order {
+		if i+1 < len(order) && o.hash == order[i+1].hash &&
+			sn.At(int(o.seq)).Instance.Equal(sn.At(int(order[i+1].seq)).Instance) {
+			continue // last-write-wins: the higher seq follows in the order
 		}
-		kept = append(kept, order[i])
+		kept = append(kept, o)
 	}
 	if len(kept) != n {
 		return nil, fmt.Errorf("provlog: checkpoint: snapshot holds duplicate instances (%d of %d records survive dedup)",
@@ -278,17 +283,17 @@ func encodeTierRange(space *pipeline.Space, fingerprint uint64, sn provenance.Sn
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
 		buf = append(buf, s...)
 	}
-	for _, seq := range kept {
-		rec := sn.At(int(seq))
+	for _, o := range kept {
+		rec := sn.At(int(o.seq))
 		for i := 0; i < p; i++ {
 			if c := int(rec.Instance.Code(i)); c >= persisted[i] {
 				return nil, fmt.Errorf("provlog: checkpoint: record %d references code %d of parameter %d beyond the persisted dictionary (%d entries)",
-					seq, c, i, persisted[i])
+					o.seq, c, i, persisted[i])
 			}
 		}
 		id, ok := sourceID[rec.Source]
 		if !ok {
-			return nil, fmt.Errorf("provlog: checkpoint: record %d references source %q outside the persisted table", seq, rec.Source)
+			return nil, fmt.Errorf("provlog: checkpoint: record %d references source %q outside the persisted table", o.seq, rec.Source)
 		}
 		buf = binary.LittleEndian.AppendUint64(buf, rec.Instance.Hash())
 		for i := 0; i < p; i++ {

@@ -1,10 +1,14 @@
 package provlog
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -671,6 +675,74 @@ func TestCheckpointConcurrentAppends(t *testing.T) {
 		}
 		if out, ok := st2.Lookup(in); !ok || out != outs[i] {
 			t.Fatalf("record %d: Lookup = %v, %v, want %v", i, out, ok, outs[i])
+		}
+	}
+}
+
+// referenceTierOrder is the sorted run encodeTierRange wrote before it
+// sorted a flat (hash, seq) column: sequences in [firstSeq, w) ordered by
+// (instance hash, seq) through Snapshot.At, deduplicated last-write-wins.
+func referenceTierOrder(sn provenance.Snapshot, firstSeq, w int) []int32 {
+	order := make([]int32, w-firstSeq)
+	for i := range order {
+		order[i] = int32(firstSeq + i)
+	}
+	sort.Slice(order, func(a, b int) bool {
+		ha, hb := sn.At(int(order[a])).Instance.Hash(), sn.At(int(order[b])).Instance.Hash()
+		if ha != hb {
+			return ha < hb
+		}
+		return order[a] < order[b]
+	})
+	kept := order[:0]
+	for i := 0; i < len(order); i++ {
+		if i+1 < len(order) {
+			this, next := sn.At(int(order[i])).Instance, sn.At(int(order[i+1])).Instance
+			if this.Hash() == next.Hash() && this.Equal(next) {
+				continue
+			}
+		}
+		kept = append(kept, order[i])
+	}
+	return kept
+}
+
+// TestEncodeTierRangeMatchesReferenceOrder checks that base and delta
+// tiers lay their record rows out exactly in the reference order.
+func TestEncodeTierRangeMatchesReferenceOrder(t *testing.T) {
+	s := testSpace(t)
+	st := provenance.NewStore(s)
+	ins, outs, srcs := testRecords(t, s, 90)
+	fillStore(t, st, ins, outs, srcs)
+	sn := st.Snapshot()
+	persisted := make([]int, s.Len())
+	for i := range persisted {
+		persisted[i] = s.NumCodes(i)
+	}
+	sources := []string{"executor", "seed", "csv"}
+	for _, r := range []struct{ firstSeq, w int }{{0, 90}, {0, 31}, {17, 90}, {40, 73}} {
+		buf, err := encodeTierRange(s, 0x5eed, sn, r.firstSeq, r.w, persisted, sources)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []byte
+		for _, seq := range referenceTierOrder(sn, r.firstSeq, r.w) {
+			rec := sn.At(int(seq))
+			rows = binary.LittleEndian.AppendUint64(rows, rec.Instance.Hash())
+			for i := 0; i < s.Len(); i++ {
+				rows = binary.LittleEndian.AppendUint32(rows, rec.Instance.Code(i))
+			}
+			rows = append(rows, byte(rec.Outcome))
+			rows = binary.LittleEndian.AppendUint16(rows, uint16(slices.Index(sources, rec.Source)))
+			rows = binary.LittleEndian.AppendUint64(rows, uint64(rec.Seq))
+		}
+		footer := 36 // base: magic, count, watermark, fingerprint, CRC
+		if r.firstSeq > 0 {
+			footer = tierFooterSize
+		}
+		start := len(buf) - footer - len(rows)
+		if start < 0 || !bytes.Equal(buf[start:len(buf)-footer], rows) {
+			t.Fatalf("tier [%d, %d): record rows differ from the reference order", r.firstSeq, r.w)
 		}
 	}
 }

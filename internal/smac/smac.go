@@ -242,14 +242,14 @@ func trainingData(ex *exec.Executor) (xs []pipeline.Instance, ys []float64, incu
 // domain value (SMAC's one-exchange neighbourhood).
 func mutate(s *pipeline.Space, in pipeline.Instance, r *rand.Rand) pipeline.Instance {
 	pi := r.Intn(s.Len())
-	dom := s.At(pi).Domain
-	if len(dom) < 2 {
+	n := len(s.At(pi).Domain)
+	if n < 2 {
 		return in
 	}
 	for {
-		v := dom[r.Intn(len(dom))]
-		if v != in.Value(pi) {
-			return in.With(pi, v)
+		j := r.Intn(n)
+		if s.DomainCode(pi, j) != in.Code(pi) {
+			return in.WithDomain(pi, j)
 		}
 	}
 }

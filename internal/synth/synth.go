@@ -113,16 +113,12 @@ func (p *Pipeline) SampleFailing(r *rand.Rand) (pipeline.Instance, bool) {
 	if err != nil || reg.Empty() {
 		return pipeline.Instance{}, false
 	}
-	vals := make([]pipeline.Value, p.Space.Len())
-	for i := 0; i < p.Space.Len(); i++ {
-		allowed := reg.AllowedValues(p.Space.At(i).Name)
-		vals[i] = allowed[r.Intn(len(allowed))]
+	idx := make([]int, p.Space.Len())
+	for i := range idx {
+		allowed := reg.AllowedIndices(i)
+		idx[i] = allowed[r.Intn(len(allowed))]
 	}
-	in, err := pipeline.NewInstance(p.Space, vals)
-	if err != nil {
-		return pipeline.Instance{}, false
-	}
-	return in, true
+	return p.Space.DomainInstance(idx), true
 }
 
 // Generate draws one pipeline for the scenario. It retries internally until
